@@ -1,6 +1,8 @@
 //! Graph-compiler smoke gate: pass pipeline on vs off.
 //!
-//! Two experiments, each run optimized (the default) and baseline:
+//! Two experiments, each run optimized (the production path) and
+//! baseline (a [`PlannedExecutor`] on the raw graph, charged by hand the
+//! way the production path charges the enclave):
 //!
 //! * **training** one Figure 8 CNN epoch slice in a hardware
 //!   SecureSession — the training pipeline (DCE → fold → fuse) rewrites
@@ -18,16 +20,20 @@
 //! no more total kernel time. CI runs it as a smoke gate and archives
 //! `BENCH_compiler.json`.
 
-use rand::SeedableRng;
 use securetf::secure_session::SecureSession;
 use securetf_bench::report::{BenchReport, JsonValue};
-use securetf_bench::{fmt_ns, header};
-use securetf_tee::{EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
-use securetf_tensor::layers;
-use securetf_tensor::optimizer::Sgd;
+use securetf_bench::{fig8_training, fmt_ns, header};
+use securetf_tee::{Enclave, EnclaveImage, ExecutionMode, Platform, SimClock, Telemetry};
+use securetf_tensor::autodiff::RunStats;
+use securetf_tensor::kernels::WorkerPool;
+use securetf_tensor::memory::PlannedExecutor;
+use securetf_tensor::optimizer::{Optimizer, Sgd};
 use securetf_tensor::passes::PipelineReport;
+use securetf_tensor::tensor::Tensor;
 use securetf_tflite::interpreter::Interpreter;
 use securetf_tflite::models::{self, INCEPTION_V4};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const TRAIN_STEPS: usize = 6;
 const TRAIN_BATCH: usize = 100;
@@ -61,30 +67,23 @@ fn record_report(arm: &mut ArmResult, report: Option<&PipelineReport>) {
     }
 }
 
-fn train_arm(optimize: bool) -> ArmResult {
-    let telemetry = Telemetry::new(std::sync::Arc::new(SimClock::new()));
-    let platform = Platform::builder().telemetry(telemetry.clone()).build();
-    let enclave = platform
-        .create_enclave(
-            &EnclaveImage::builder().code(b"compiler bench").build(),
-            ExecutionMode::Hardware,
-        )
-        .expect("enclave");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let model = layers::conv_classifier(28, 28, 1, 16, 10, &mut rng).expect("model");
-    let data = securetf_data::synthetic_mnist(600, 7);
-    let mut session = SecureSession::new(enclave, model);
-    session.set_graph_optimize(optimize);
+fn bench_enclave(image: EnclaveImage, telemetry: Telemetry) -> Arc<Enclave> {
+    Platform::builder()
+        .telemetry(telemetry)
+        .build()
+        .create_enclave(&image, ExecutionMode::Hardware)
+        .expect("enclave")
+}
+
+fn train_optimized() -> ArmResult {
+    let telemetry = Telemetry::new(Arc::new(SimClock::new()));
+    let image = EnclaveImage::builder().code(b"compiler bench").build();
+    let enclave = bench_enclave(image, telemetry.clone());
+    let (model, batches) = fig8_training(TRAIN_STEPS, TRAIN_BATCH);
+    let mut session = SecureSession::new(enclave.clone(), model);
     let mut sgd = Sgd::new(5e-4);
     let mut arm = ArmResult::default();
-    for step in 0..TRAIN_STEPS {
-        let start = (step * TRAIN_BATCH) % (600 - TRAIN_BATCH);
-        let (x, y) = data.batch(start, TRAIN_BATCH).expect("batch");
-        let x = securetf_tensor::tensor::Tensor::from_vec(
-            &[TRAIN_BATCH, 28, 28, 1],
-            x.into_data(),
-        )
-        .expect("NHWC reshape");
+    for (x, y) in batches {
         let loss = session.train_step(x, y, &mut sgd).expect("train step");
         arm.bits.push(loss.to_bits());
     }
@@ -94,62 +93,141 @@ fn train_arm(optimize: bool) -> ArmResult {
     arm.total_ns = arm.other_ns
         + telemetry.counter("kernel.matmul.ns").get()
         + telemetry.counter("kernel.conv2d.ns").get();
-    arm.epc_faults = session.enclave().epc_stats().faults;
-    let graph_len = session.model().graph.len() as u64;
-    arm.nodes_before = graph_len;
-    arm.nodes_after = graph_len;
+    arm.epc_faults = enclave.epc_stats().faults;
     record_report(&mut arm, session.session().pipeline_report());
     arm
 }
 
-fn infer_arm(optimize: bool) -> ArmResult {
-    let platform = Platform::builder().build();
-    let enclave = platform
-        .create_enclave(
-            &EnclaveImage::builder()
-                .code(b"compiler bench")
-                .runtime_bytes(securetf_tflite::LITE_RUNTIME_BYTES)
-                .build(),
-            ExecutionMode::Hardware,
-        )
-        .expect("enclave");
-    let model = models::build(INCEPTION_V4);
-    let unoptimized_nodes = model.graph().len() as u64;
-    let params_region = enclave.alloc("model", model.param_bytes());
+fn train_baseline() -> ArmResult {
+    let image = EnclaveImage::builder().code(b"compiler bench").build();
+    let enclave = bench_enclave(image, Telemetry::disabled());
+    let (cost, mode) = (enclave.cost_model(), enclave.mode());
+    let (model, batches) = fig8_training(TRAIN_STEPS, TRAIN_BATCH);
+    let graph = &model.graph;
+    let mut vars = graph.variable_inits();
+    let mut planner = PlannedExecutor::new();
+    // SecureSession's regions and planned charging: a persistent
+    // activation region resized to the arena peak, touched slot by slot.
+    let params = enclave.alloc("params", vars.values().map(Tensor::byte_len).sum());
+    let mut activations = enclave.alloc("activations", 1);
+    let mut activations_bytes = 1;
+    let mut sgd = Sgd::new(5e-4);
+    let mut arm = ArmResult::default();
+    for (x, y) in batches {
+        let feeds: HashMap<_, _> = [(model.input, x), (model.labels, y)].into_iter().collect();
+        let (value, grads, mut stats) = planner
+            .train(graph, &feeds, &vars, model.loss, &WorkerPool::serial())
+            .expect("train step");
+        arm.bits.push(value.to_bits());
+        for (var, grad) in &grads {
+            let value = vars.get_mut(var).expect("tracked variable");
+            sgd.apply(*var, value, grad).expect("same shape");
+        }
+        // Backward costs roughly 2x forward compute, as in Session.
+        stats.scale_compute(3.0);
+        let kf = stats.kernel_flops;
+        let other_ns = cost.compute_ns(kf.other, mode);
+        arm.other_ns += other_ns;
+        arm.total_ns +=
+            other_ns + cost.compute_ns(kf.matmul, mode) + cost.compute_ns(kf.conv2d, mode);
+        enclave.touch_all(params).expect("touch params");
+        let peak = planner.planned_peak_bytes().expect("planned");
+        if peak != activations_bytes {
+            enclave.free(activations).expect("free activations");
+            activations = enclave.alloc("activations", peak);
+            activations_bytes = peak;
+        }
+        for w in planner.take_slot_writes() {
+            enclave.touch(activations, w.offset, w.bytes).expect("touch slot");
+        }
+    }
+    arm.epc_faults = enclave.epc_stats().faults;
+    arm.nodes_before = graph.len() as u64;
+    arm.nodes_after = arm.nodes_before;
+    arm
+}
+
+/// Runs `INFER_RUNS` Inception-v4 inferences through `infer` on an
+/// enclave holding the model, charging as SecureClassifier does: every
+/// inference streams the model through the EPC once (evicting the small
+/// activation region), then touches exactly the arena slots the run
+/// wrote — so each run re-faults one page per written slot.
+fn infer_arm(
+    mut infer: impl FnMut(&Tensor) -> (Tensor, RunStats, u64, Vec<(u64, u64)>),
+) -> ArmResult {
+    let image = EnclaveImage::builder()
+        .code(b"compiler bench")
+        .runtime_bytes(securetf_tflite::LITE_RUNTIME_BYTES)
+        .build();
+    let enclave = bench_enclave(image, Telemetry::disabled());
+    let params_region = enclave.alloc("model", models::build(INCEPTION_V4).param_bytes());
     enclave.touch_all(params_region).expect("model load");
-    let mut interp = if optimize {
-        Interpreter::new(model)
-    } else {
-        Interpreter::unoptimized(model)
-    };
     let input = models::input_for(1);
 
     let mut arm = ArmResult::default();
     let mut activations = None;
+    let mut total = RunStats::default();
     for _ in 0..INFER_RUNS {
-        let out = interp.run(&input).expect("inference");
+        let (out, stats, planned_peak, writes) = infer(&input);
         arm.bits.extend(out.data().iter().map(|v| v.to_bits()));
-        // Mirror SecureClassifier: every inference streams the model
-        // through the EPC once (evicting the small activation region),
-        // then touches exactly the arena slots the run wrote — so each
-        // run re-faults one page per written slot.
+        total.merge(stats);
         enclave.touch_all(params_region).expect("model pass");
-        let planned_peak = interp.planned_peak_bytes().unwrap_or(0).max(1);
-        let region =
-            *activations.get_or_insert_with(|| enclave.alloc("activations", planned_peak));
-        for w in interp.take_slot_writes() {
-            enclave.touch(region, w.offset, w.bytes).expect("touch slot");
+        let region = *activations
+            .get_or_insert_with(|| enclave.alloc("activations", planned_peak.max(1)));
+        for (offset, bytes) in writes {
+            enclave.touch(region, offset, bytes).expect("touch slot");
         }
     }
-    let kf = interp.stats().kernel_flops;
+    let kf = total.kernel_flops;
     let cost = enclave.cost_model();
     let mode = enclave.mode();
     arm.other_ns = cost.compute_ns(kf.other, mode);
     arm.total_ns = cost.compute_ns(kf.matmul + kf.conv2d + kf.other, mode);
     arm.epc_faults = enclave.epc_stats().faults;
-    arm.nodes_before = unoptimized_nodes;
-    arm.nodes_after = interp.model().graph().len() as u64;
+    arm
+}
+
+fn infer_optimized() -> ArmResult {
+    let mut interp = Interpreter::new(models::build(INCEPTION_V4));
+    let mut last = interp.stats();
+    let mut arm = infer_arm(|input| {
+        let out = interp.run(input).expect("inference");
+        let stats = interp.stats().since(&last);
+        last = interp.stats();
+        let writes = interp.take_slot_writes().iter().map(|w| (w.offset, w.bytes)).collect();
+        (out, stats, interp.planned_peak_bytes().expect("planned"), writes)
+    });
     record_report(&mut arm, interp.pipeline_report());
+    arm
+}
+
+fn infer_baseline() -> ArmResult {
+    let model = models::build(INCEPTION_V4);
+    let mut planner = PlannedExecutor::new();
+    let feeds_for = |input: &Tensor| -> HashMap<_, _> {
+        [(model.input(), input.clone())].into_iter().collect()
+    };
+    let mut arm = infer_arm(|input| {
+        let (mut outs, mut stats) = planner
+            .run(
+                model.graph(),
+                &feeds_for(input),
+                &HashMap::new(),
+                &[model.output()],
+                &WorkerPool::serial(),
+            )
+            .expect("inference");
+        // As the interpreter does: synthetic stand-ins charge the
+        // original model's declared compute.
+        if model.declared_flops() > 0.0 {
+            stats.rescale_flops(model.declared_flops());
+        }
+        let writes = planner.take_slot_writes().iter().map(|w| (w.offset, w.bytes)).collect();
+        let out = outs.pop().expect("one output");
+        (out, stats, planner.planned_peak_bytes().expect("planned"), writes)
+    });
+    arm.nodes_before = model.graph().len() as u64;
+    arm.nodes_after = arm.nodes_before;
     arm
 }
 
@@ -219,8 +297,8 @@ fn main() {
         &["experiment", "faults  ", "other ns ", "total ns ", "nodes"],
     );
 
-    let train_optimized = train_arm(true);
-    let train_baseline = train_arm(false);
+    let train_optimized = train_optimized();
+    let train_baseline = train_baseline();
     row("train optimized", &train_optimized);
     row("train baseline", &train_baseline);
     compare(
@@ -230,8 +308,8 @@ fn main() {
         false,
     );
 
-    let infer_optimized = infer_arm(true);
-    let infer_baseline = infer_arm(false);
+    let infer_optimized = infer_optimized();
+    let infer_baseline = infer_baseline();
     row("inception-v4 optimized", &infer_optimized);
     row("inception-v4 baseline", &infer_baseline);
     compare(

@@ -7,6 +7,31 @@
 
 pub mod report;
 
+use rand::SeedableRng;
+use securetf_tensor::layers::{self, Classifier};
+use securetf_tensor::tensor::Tensor;
+
+/// The Figure 8 CNN (28×28 MNIST, 16 filters, seed 42) and `steps` NHWC
+/// training batches of `batch` synthetic MNIST samples each.
+///
+/// # Panics
+///
+/// If `batch` is 600 or more (the synthetic set holds 600 samples).
+pub fn fig8_training(steps: usize, batch: usize) -> (Classifier, Vec<(Tensor, Tensor)>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let model = layers::conv_classifier(28, 28, 1, 16, 10, &mut rng).expect("model");
+    let data = securetf_data::synthetic_mnist(600, 7);
+    let batches = (0..steps)
+        .map(|step| {
+            let start = (step * batch) % (600 - batch);
+            let (x, y) = data.batch(start, batch).expect("batch");
+            let x = Tensor::from_vec(&[batch, 28, 28, 1], x.into_data()).expect("NHWC reshape");
+            (x, y)
+        })
+        .collect();
+    (model, batches)
+}
+
 /// Formats nanoseconds as adaptive human units.
 pub fn fmt_ns(ns: u64) -> String {
     if ns >= 10_000_000_000 {

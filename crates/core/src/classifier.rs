@@ -214,7 +214,8 @@ impl SecureClassifier {
     /// Charges workspace EPC traffic. Planned single-pass runtimes
     /// replay the arena slot writes the interpreter actually performed —
     /// so a fused graph, which writes fewer intermediates, faults fewer
-    /// workspace pages. Unplanned runs fall back to a full sweep.
+    /// workspace pages. A graph the planner could not plan falls back to
+    /// a full sweep.
     fn replay_workspace_writes(&mut self) -> Result<(), SecureTfError> {
         let writes = self.interpreter.take_slot_writes();
         if self.profile.memory_passes != 1 {

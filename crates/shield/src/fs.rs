@@ -43,11 +43,10 @@ use std::sync::Arc;
 /// Chunk size used by the shield (64 KiB, matching SCONE's default).
 pub const CHUNK_SIZE: usize = 64 * 1024;
 
-/// Default number of decrypted chunks kept in the in-enclave cache
-/// (16 × 64 KiB = 1 MiB — small enough to stay EPC-resident next to the
-/// model it serves). Tune per deployment with
-/// [`FsShield::set_chunk_cache_capacity`].
-pub const DEFAULT_CHUNK_CACHE_CAP: usize = 16;
+/// Number of decrypted chunks kept in the in-enclave cache (16 × 64 KiB
+/// = 1 MiB — small enough to stay EPC-resident next to the model it
+/// serves).
+pub const CHUNK_CACHE_CAP: usize = 16;
 
 /// Protection level applied to a path prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -391,27 +390,14 @@ fn append_range(out: &mut Vec<u8>, plain: &[u8], i: usize, offset: u64, len: u64
 /// `(file_id, version, chunk)` so a rewritten file (new version) can never
 /// serve stale plaintext. FIFO eviction; the plaintext lives inside the
 /// enclave, so caching it weakens nothing the chunk's AEAD protected.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ChunkCache {
     entries: HashMap<(u64, u64, u32), Vec<u8>>,
     order: std::collections::VecDeque<(u64, u64, u32)>,
-    cap: usize,
     /// Local hit/miss tallies, independent of whether the platform has
     /// telemetry enabled (the [`FsMetrics`] counters are no-ops then).
     hits: u64,
     misses: u64,
-}
-
-impl Default for ChunkCache {
-    fn default() -> Self {
-        ChunkCache {
-            entries: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            cap: DEFAULT_CHUNK_CACHE_CAP,
-            hits: 0,
-            misses: 0,
-        }
-    }
 }
 
 impl ChunkCache {
@@ -420,22 +406,10 @@ impl ChunkCache {
     }
 
     fn insert(&mut self, key: (u64, u64, u32), plain: Vec<u8>) {
-        if self.cap == 0 {
-            return;
-        }
         if self.entries.insert(key, plain).is_none() {
             self.order.push_back(key);
         }
-        self.evict_to_cap();
-    }
-
-    fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap;
-        self.evict_to_cap();
-    }
-
-    fn evict_to_cap(&mut self) {
-        while self.order.len() > self.cap {
+        while self.order.len() > CHUNK_CACHE_CAP {
             if let Some(old) = self.order.pop_front() {
                 self.entries.remove(&old);
             }
@@ -842,69 +816,12 @@ impl FsShield {
         if meta.policy == Policy::Passthrough {
             return Ok(stored);
         }
-        let mut cursor = 0usize;
-        let take = |cursor: &mut usize, n: usize| -> Result<&[u8], ShieldError> {
-            if *cursor + n > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let s = &stored[*cursor..*cursor + n];
-            *cursor += n;
-            Ok(s)
-        };
-        let len_bytes = take(&mut cursor, 8)?;
-        let claimed_len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
-        if claimed_len != meta.len {
-            return Err(ShieldError::FileTampered(format!(
-                "{path}: length mismatch (rollback or truncation)"
-            )));
-        }
-        let total = meta.chunk_digests.len() as u32;
+        let records = Self::split_records(path, &stored, meta)?;
         let mut out = Vec::with_capacity(meta.len as usize);
         let ctx = aead::AeadCtx::new(self.key.clone());
-        for (i, digest) in meta.chunk_digests.iter().enumerate() {
-            let rec_len_bytes = take(&mut cursor, 4)?;
-            let rec_len = u32::from_le_bytes(rec_len_bytes.try_into().expect("4 bytes")) as usize;
-            let record = take(&mut cursor, rec_len)?;
-            if &sha256::digest(record) != digest {
-                return Err(ShieldError::FileTampered(format!(
-                    "{path}: chunk {i} digest mismatch"
-                )));
-            }
-            let aad = Self::chunk_aad(path, meta.version, i as u32, total);
-            match meta.policy {
-                Policy::EncryptAuth => {
-                    let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
-                    // Decrypt straight into the output buffer: no
-                    // per-chunk plaintext allocation.
-                    ctx.open_append(&nonce, record, &aad, &mut out).map_err(|_| {
-                        ShieldError::FileTampered(format!("{path}: chunk {i} auth failure"))
-                    })?;
-                }
-                Policy::AuthOnly => {
-                    if record.len() < 32 {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} too short"
-                        )));
-                    }
-                    let (chunk, tag) = record.split_at(record.len() - 32);
-                    let mut mac_input = chunk.to_vec();
-                    mac_input.extend_from_slice(&aad);
-                    let expect =
-                        securetf_crypto::hmac::hmac_sha256(self.key.as_bytes(), &mac_input);
-                    if !securetf_crypto::ct::eq(&expect, tag) {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} mac failure"
-                        )));
-                    }
-                    out.extend_from_slice(chunk);
-                }
-                Policy::Passthrough => unreachable!("handled above"),
-            }
-        }
-        if cursor != stored.len() {
-            return Err(ShieldError::FileTampered(format!(
-                "{path}: trailing bytes appended"
-            )));
+        for (i, record) in records.into_iter().enumerate() {
+            // Straight into the output buffer: no per-chunk allocation.
+            self.open_record(&ctx, path, meta, i, record, &mut out)?;
         }
         out.truncate(meta.len as usize);
         self.enclave.charge_shield_crypto(meta.len);
@@ -959,29 +876,14 @@ impl FsShield {
             .shield_get(path)?
             .ok_or_else(|| ShieldError::FileNotFound(path.to_string()))?;
 
-        // Walk the chunk records, decrypting only overlapping chunks.
+        // Decrypt only the chunks that overlap the range.
         let first_chunk = (offset / CHUNK_SIZE as u64) as usize;
         let last_chunk = ((offset + len - 1) / CHUNK_SIZE as u64) as usize;
-        let total = meta.chunk_digests.len() as u32;
-        let mut cursor = 8usize; // skip the length header
+        let records = Self::split_records(path, &stored, meta)?;
         let mut out = Vec::with_capacity(len as usize);
         let mut decrypted_bytes = 0u64;
-        for (i, digest) in meta.chunk_digests.iter().enumerate() {
-            if cursor + 4 > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let rec_len = u32::from_le_bytes(
-                stored[cursor..cursor + 4].try_into().expect("4 bytes"),
-            ) as usize;
-            cursor += 4;
-            if cursor + rec_len > stored.len() {
-                return Err(ShieldError::FileTampered(format!("{path}: truncated")));
-            }
-            let record = &stored[cursor..cursor + rec_len];
-            cursor += rec_len;
-            if i < first_chunk || i > last_chunk {
-                continue;
-            }
+        let ctx = aead::AeadCtx::new(self.key.clone());
+        for (i, &record) in records.iter().enumerate().take(last_chunk + 1).skip(first_chunk) {
             let cache_key = (meta.file_id, meta.version, i as u32);
             {
                 let mut cache = self.chunk_cache.lock();
@@ -997,39 +899,8 @@ impl FsShield {
                 cache.misses += 1;
             }
             self.metrics.chunk_cache_misses.inc();
-            if &sha256::digest(record) != digest {
-                return Err(ShieldError::FileTampered(format!(
-                    "{path}: chunk {i} digest mismatch"
-                )));
-            }
-            let aad = Self::chunk_aad(path, meta.version, i as u32, total);
-            let plain = match meta.policy {
-                Policy::EncryptAuth => {
-                    let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
-                    aead::open(&self.key, &nonce, record, &aad).map_err(|_| {
-                        ShieldError::FileTampered(format!("{path}: chunk {i} auth failure"))
-                    })?
-                }
-                Policy::AuthOnly => {
-                    if record.len() < 32 {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} too short"
-                        )));
-                    }
-                    let (chunk, tag) = record.split_at(record.len() - 32);
-                    let mut mac_input = chunk.to_vec();
-                    mac_input.extend_from_slice(&aad);
-                    let expect =
-                        securetf_crypto::hmac::hmac_sha256(self.key.as_bytes(), &mac_input);
-                    if !securetf_crypto::ct::eq(&expect, tag) {
-                        return Err(ShieldError::FileTampered(format!(
-                            "{path}: chunk {i} mac failure"
-                        )));
-                    }
-                    chunk.to_vec()
-                }
-                Policy::Passthrough => unreachable!("handled above"),
-            };
+            let mut plain = Vec::with_capacity(record.len());
+            self.open_record(&ctx, path, meta, i, record, &mut plain)?;
             decrypted_bytes += plain.len() as u64;
             append_range(&mut out, &plain, i, offset, len);
             self.chunk_cache.lock().insert(cache_key, plain);
@@ -1039,6 +910,80 @@ impl FsShield {
             self.metrics.crypto_bytes_opened.add(decrypted_bytes);
         }
         Ok(out)
+    }
+
+    /// Splits a protected file's stored blob into its chunk records: an
+    /// 8-byte plaintext-length header matching `meta`, then exactly one
+    /// `[u32 len | record]` per chunk and nothing after the last.
+    fn split_records<'a>(
+        path: &str,
+        stored: &'a [u8],
+        meta: &FileMeta,
+    ) -> Result<Vec<&'a [u8]>, ShieldError> {
+        let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: {what}"));
+        let mut cursor = 0usize;
+        if read_u64(stored, &mut cursor).ok_or_else(|| tampered("truncated"))? != meta.len {
+            return Err(tampered("length mismatch (rollback or truncation)"));
+        }
+        let mut records = Vec::with_capacity(meta.chunk_digests.len());
+        for _ in &meta.chunk_digests {
+            let record = read_u32(stored, &mut cursor)
+                .and_then(|len| take(stored, &mut cursor, len as usize))
+                .ok_or_else(|| tampered("truncated"))?;
+            records.push(record);
+        }
+        if cursor != stored.len() {
+            return Err(tampered("trailing bytes appended"));
+        }
+        Ok(records)
+    }
+
+    /// Whether `record` is chunk `i` as committed in `meta`. Until chunk
+    /// nonces are unique across aborted writes, this digest — not the
+    /// AEAD tag — is what rejects a staged record that reused a nonce.
+    fn record_matches(meta: &FileMeta, i: usize, record: &[u8]) -> bool {
+        meta.chunk_digests.get(i) == Some(&sha256::digest(record))
+    }
+
+    /// Verifies chunk record `i` of `path` (digest, then AEAD open or
+    /// HMAC check) and appends its plaintext to `out`.
+    fn open_record(
+        &self,
+        ctx: &aead::AeadCtx,
+        path: &str,
+        meta: &FileMeta,
+        i: usize,
+        record: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), ShieldError> {
+        let tampered = |what: &str| ShieldError::FileTampered(format!("{path}: chunk {i} {what}"));
+        if !Self::record_matches(meta, i, record) {
+            return Err(tampered("digest mismatch"));
+        }
+        let total = meta.chunk_digests.len() as u32;
+        let aad = Self::chunk_aad(path, meta.version, i as u32, total);
+        match meta.policy {
+            Policy::EncryptAuth => {
+                let nonce = Self::chunk_nonce(meta.file_id, meta.version, i as u32);
+                ctx.open_append(&nonce, record, &aad, out)
+                    .map_err(|_| tampered("auth failure"))
+            }
+            Policy::AuthOnly => {
+                if record.len() < 32 {
+                    return Err(tampered("too short"));
+                }
+                let (chunk, tag) = record.split_at(record.len() - 32);
+                let mut mac_input = chunk.to_vec();
+                mac_input.extend_from_slice(&aad);
+                let expect = hmac_sha256(self.key.as_bytes(), &mac_input);
+                if !securetf_crypto::ct::eq(&expect, tag) {
+                    return Err(tampered("mac failure"));
+                }
+                out.extend_from_slice(chunk);
+                Ok(())
+            }
+            Policy::Passthrough => unreachable!("passthrough files have no records"),
+        }
     }
 
     /// Deletes a file from the store and the metadata table. Returns
@@ -1403,12 +1348,12 @@ impl FsShield {
         meta: &FileMeta,
     ) -> Result<bool, ShieldError> {
         let mut records = Vec::with_capacity(meta.chunk_digests.len());
-        for (k, digest) in meta.chunk_digests.iter().enumerate() {
+        for k in 0..meta.chunk_digests.len() {
             self.enclave.charge_syscall();
             let Some(record) = self.store.shield_get(&Self::staged_chunk_path(dir, k))? else {
                 return Ok(false);
             };
-            if &sha256::digest(&record) != digest {
+            if !Self::record_matches(meta, k, &record) {
                 return Ok(false);
             }
             records.push(record);
@@ -1425,21 +1370,6 @@ impl FsShield {
     /// protected write).
     pub fn manifest_generation(&self) -> u64 {
         self.manifest_generation
-    }
-
-    /// Resizes the in-enclave chunk cache to hold at most `chunks`
-    /// decrypted chunks (each up to [`CHUNK_SIZE`] bytes). Shrinking
-    /// evicts oldest entries immediately; a capacity of zero disables
-    /// caching. The capacity trades EPC residency against repeated
-    /// decryption time, so deployments size it to the model's read
-    /// pattern rather than a fixed 1 MiB.
-    pub fn set_chunk_cache_capacity(&mut self, chunks: usize) {
-        self.chunk_cache.lock().set_capacity(chunks);
-    }
-
-    /// Current chunk-cache capacity in chunks.
-    pub fn chunk_cache_capacity(&self) -> usize {
-        self.chunk_cache.lock().cap
     }
 
     /// Fraction of range-read chunk lookups served from the in-enclave
@@ -1746,6 +1676,24 @@ mod tests {
     }
 
     #[test]
+    fn range_reads_check_the_whole_blob_layout() {
+        // A range read walks the same records as a full read, so an
+        // appended byte or a foreign length header is rejected even
+        // when the requested chunk itself is intact.
+        let (mut shield, store) = setup();
+        shield.write("/secure/f", &vec![3u8; 2 * CHUNK_SIZE]).unwrap();
+        let blob = store.raw_contents("/secure/f").unwrap();
+        let mut appended = blob.clone();
+        appended.push(0);
+        store.raw_put("/secure/f", appended);
+        assert!(shield.read_range("/secure/f", 0, 16).is_err());
+        let mut relabelled = blob;
+        relabelled[0] ^= 1;
+        store.raw_put("/secure/f", relabelled);
+        assert!(shield.read_range("/secure/f", 0, 16).is_err());
+    }
+
+    #[test]
     fn cached_range_reads_charge_no_extra_crypto() {
         let clock = securetf_tee::SimClock::new();
         let telemetry = clock.telemetry();
@@ -1805,7 +1753,7 @@ mod tests {
         let (mut shield, _store) = setup();
         // More chunks than the cache holds: every read stays correct as
         // older entries are evicted.
-        let chunks = DEFAULT_CHUNK_CACHE_CAP + 4;
+        let chunks = CHUNK_CACHE_CAP + 4;
         let big: Vec<u8> = (0..chunks * CHUNK_SIZE).map(|i| (i % 239) as u8).collect();
         shield.write("/secure/big", &big).unwrap();
         for round in 0..2 {
@@ -1822,42 +1770,19 @@ mod tests {
     }
 
     #[test]
-    fn chunk_cache_capacity_is_configurable() {
+    fn chunk_cache_evicts_past_capacity_but_stays_correct() {
         let (mut shield, _store) = setup();
-        assert_eq!(shield.chunk_cache_capacity(), DEFAULT_CHUNK_CACHE_CAP);
-        let big: Vec<u8> = (0..4 * CHUNK_SIZE).map(|i| (i % 233) as u8).collect();
+        let chunks = CHUNK_CACHE_CAP as u64 + 2;
+        let big: Vec<u8> = (0..chunks as usize * CHUNK_SIZE).map(|i| (i % 229) as u8).collect();
         shield.write("/secure/big", &big).unwrap();
-
-        // Capacity 0 disables caching: every repeat decrypts again.
-        shield.set_chunk_cache_capacity(0);
-        for _ in 0..3 {
-            let got = shield.read_range("/secure/big", 10, 64).unwrap();
-            assert_eq!(got, &big[10..74]);
-        }
-        assert_eq!(shield.chunk_cache_hit_rate(), 0.0);
-
-        // A large enough cache turns the repeats into hits.
-        shield.set_chunk_cache_capacity(8);
-        for _ in 0..4 {
-            let got = shield.read_range("/secure/big", 10, 64).unwrap();
-            assert_eq!(got, &big[10..74]);
-        }
-        assert!(shield.chunk_cache_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn shrinking_chunk_cache_evicts_but_stays_correct() {
-        let (mut shield, _store) = setup();
-        let big: Vec<u8> = (0..6 * CHUNK_SIZE).map(|i| (i % 229) as u8).collect();
-        shield.write("/secure/big", &big).unwrap();
-        // Warm all six chunks, then shrink below that.
-        for c in 0..6u64 {
+        // Warm every chunk: the first two are evicted to stay at capacity.
+        for c in 0..chunks {
             shield
                 .read_range("/secure/big", c * CHUNK_SIZE as u64, 16)
                 .unwrap();
         }
-        shield.set_chunk_cache_capacity(2);
-        for c in 0..6u64 {
+        assert_eq!(shield.chunk_cache.lock().entries.len(), CHUNK_CACHE_CAP);
+        for c in 0..chunks {
             let offset = c * CHUNK_SIZE as u64 + 3;
             let got = shield.read_range("/secure/big", offset, 16).unwrap();
             assert_eq!(got, &big[offset as usize..offset as usize + 16]);

@@ -552,6 +552,59 @@ pub fn backward_with(
     Ok(grads)
 }
 
+// ---- the unplanned reference -----------------------------------------------
+//
+// One execution path runs in production: compile, then
+// [`crate::memory::PlannedExecutor`]. The two functions below are what
+// that executor falls back to for a graph it cannot plan. Applied to the
+// *uncompiled* graph, they are also the single bit-identity oracle that
+// tests and benches check planned and compiled execution against.
+
+/// Evaluates `targets` with [`forward_with`], every intermediate held to
+/// the end of the pass. Returns the target values and the pass's stats.
+///
+/// # Errors
+///
+/// Same conditions as [`forward`].
+pub fn run_unplanned(
+    graph: &Graph,
+    feeds: &HashMap<NodeId, Tensor>,
+    vars: &HashMap<NodeId, Tensor>,
+    targets: &[NodeId],
+    pool: &WorkerPool,
+) -> Result<(Vec<Tensor>, RunStats), TensorError> {
+    let fwd = forward_with(graph, feeds, vars, targets, pool)?;
+    let outs = targets
+        .iter()
+        .map(|&id| fwd.value(id).cloned().ok_or(TensorError::UnknownNode))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((outs, fwd.stats))
+}
+
+/// One training pass with [`forward_with`] and [`backward_with`]. Returns
+/// the loss value, the gradient of every variable, and the forward stats.
+///
+/// # Errors
+///
+/// Same conditions as [`forward`] and [`backward`].
+pub fn train_unplanned(
+    graph: &Graph,
+    feeds: &HashMap<NodeId, Tensor>,
+    vars: &HashMap<NodeId, Tensor>,
+    loss: NodeId,
+    pool: &WorkerPool,
+) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
+    let fwd = forward_with(graph, feeds, vars, &[loss], pool)?;
+    let loss_value = fwd.value(loss).ok_or(TensorError::UnknownNode)?.data()[0];
+    let mut grads = backward_with(graph, &fwd, loss, pool)?;
+    let var_grads = graph
+        .variables()
+        .into_iter()
+        .filter_map(|v| grads.remove(&v).map(|g| (v, g)))
+        .collect();
+    Ok((loss_value, var_grads, fwd.stats))
+}
+
 // ---- planned execution -----------------------------------------------------
 //
 // The planned forward/backward passes mirror `forward_with`/`backward_with`

@@ -2,6 +2,7 @@
 
 use crate::tensor::Tensor;
 use crate::TensorError;
+use std::collections::HashMap;
 
 /// Identifier of a node within one graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -572,6 +573,18 @@ impl Graph {
             .enumerate()
             .filter(|(_, n)| matches!(n.op, Op::Variable { .. }))
             .map(|(i, _)| NodeId(i))
+            .collect()
+    }
+
+    /// Every variable's initial value, keyed by id.
+    pub fn variable_inits(&self) -> HashMap<NodeId, Tensor> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| match &n.op {
+                Op::Variable { init } => Some((NodeId(i), init.clone())),
+                _ => None,
+            })
             .collect()
     }
 

@@ -23,9 +23,10 @@
 //!   size-of-everything baseline.
 //!
 //! Planning never changes results: planned execution is bit-for-bit
-//! identical to the unplanned pass (property-tested), and when a graph
-//! cannot be planned (e.g. a placeholder fed with exotic shapes mid-run)
-//! the executor silently falls back to unplanned execution.
+//! identical to [`autodiff::run_unplanned`] / [`autodiff::train_unplanned`]
+//! (property-tested), and when a graph cannot be planned (e.g. a
+//! placeholder fed with exotic shapes mid-run) the executor silently
+//! falls back to those two functions.
 
 use crate::autodiff::{self, RunStats};
 use crate::graph::{Graph, NodeId, Op, Padding};
@@ -33,19 +34,6 @@ use crate::kernels::{WorkerPool, Workspace};
 use crate::tensor::Tensor;
 use crate::TensorError;
 use std::collections::HashMap;
-
-/// Execution memory strategy of a [`crate::session::Session`] (or a
-/// tflite interpreter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryMode {
-    /// Per-node `Vec` allocation; every intermediate lives to the end of
-    /// the run. The pre-planning baseline, kept for A/B benchmarks.
-    Unplanned,
-    /// Liveness-planned arena execution (the default): bit-identical
-    /// results, bounded resident set, recycled buffers.
-    #[default]
-    Planned,
-}
 
 /// One planned buffer: an offset range in the arena plus the half-open
 /// lifetime interval (in unified timeline steps) during which it is live.
@@ -612,14 +600,21 @@ fn is_var(graph: &Graph, index: usize) -> bool {
 /// the TEE layer replays as EPC page touches), while execution backs each
 /// live slot with a recycled `Vec<f32>`. `take` always returns a zeroed
 /// buffer, so recycling can never change results.
+///
+/// The pool keeps at most as many buffers of a length as `take` has lent
+/// out. Values the arena never lent (leaf clones of feeds, variables and
+/// constants, element-wise outputs) are dropped on `put`, so repeated
+/// runs of one plan cannot grow the pool.
 #[derive(Debug, Clone, Default)]
 pub struct Arena {
     free: HashMap<usize, Vec<Vec<f32>>>,
+    lent: HashMap<usize, usize>,
 }
 
 impl Arena {
     /// A zeroed buffer of exactly `len` elements, recycled if available.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
+        *self.lent.entry(len).or_default() += 1;
         if let Some(mut buf) = self.free.get_mut(&len).and_then(Vec::pop) {
             buf.fill(0.0);
             buf
@@ -628,9 +623,11 @@ impl Arena {
         }
     }
 
-    /// Returns a buffer to the pool.
+    /// Returns a buffer to the pool, or drops it if the pool already
+    /// holds every buffer of its length that `take` lent out.
     pub fn put(&mut self, buf: Vec<f32>) {
-        if !buf.is_empty() {
+        if let Some(lent) = self.lent.get_mut(&buf.len()).filter(|n| **n > 0) {
+            *lent -= 1;
             self.free.entry(buf.len()).or_default().push(buf);
         }
     }
@@ -822,7 +819,7 @@ fn plan_key(
 /// A reusable planned-execution engine: caches the memory plan, the
 /// arena, and the values vector across runs of the same configuration
 /// (shape change → transparent replan; unplannable graph → transparent
-/// fallback to unplanned execution).
+/// fallback to [`autodiff::run_unplanned`] / [`autodiff::train_unplanned`]).
 #[derive(Debug, Clone, Default)]
 pub struct PlannedExecutor {
     ws: Workspace,
@@ -893,11 +890,11 @@ impl PlannedExecutor {
     }
 
     /// Evaluates `targets`, preferring planned execution. Results and
-    /// [`RunStats`] are bit-identical to [`autodiff::forward_with`].
+    /// [`RunStats`] are bit-identical to [`autodiff::run_unplanned`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`autodiff::forward_with`].
+    /// Same conditions as [`autodiff::run_unplanned`].
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -909,12 +906,7 @@ impl PlannedExecutor {
         let needed = autodiff::needed_set(graph, targets)?;
         self.ensure_plan(graph, feeds, vars, &needed, targets, None);
         let Some(mem) = self.cached.as_mut().and_then(|c| c.mem.as_mut()) else {
-            let fwd = autodiff::forward_with(graph, feeds, vars, targets, pool)?;
-            let outs = targets
-                .iter()
-                .map(|&id| fwd.value(id).cloned().ok_or(TensorError::UnknownNode))
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok((outs, fwd.stats));
+            return autodiff::run_unplanned(graph, feeds, vars, targets, pool);
         };
         mem.begin_run();
         self.values.clear();
@@ -946,13 +938,12 @@ impl PlannedExecutor {
 
     /// Runs forward + backward for one training step, preferring planned
     /// execution. Returns the loss value, the gradients of every
-    /// variable, and the forward-pass stats — all bit-identical to the
-    /// unplanned `forward_with` + `backward_with` pair.
+    /// variable, and the forward-pass stats — all bit-identical to
+    /// [`autodiff::train_unplanned`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`autodiff::forward_with`] and
-    /// [`autodiff::backward_with`].
+    /// Same conditions as [`autodiff::train_unplanned`].
     pub fn train(
         &mut self,
         graph: &Graph,
@@ -965,15 +956,7 @@ impl PlannedExecutor {
         let needed = autodiff::needed_set(graph, &targets)?;
         self.ensure_plan(graph, feeds, vars, &needed, &targets, Some(loss));
         let Some(mem) = self.cached.as_mut().and_then(|c| c.mem.as_mut()) else {
-            let fwd = autodiff::forward_with(graph, feeds, vars, &targets, pool)?;
-            let loss_value = fwd.value(loss).ok_or(TensorError::UnknownNode)?.data()[0];
-            let grads = autodiff::backward_with(graph, &fwd, loss, pool)?;
-            let var_grads = graph
-                .variables()
-                .into_iter()
-                .filter_map(|v| grads.get(&v).map(|g| (v, g.clone())))
-                .collect();
-            return Ok((loss_value, var_grads, fwd.stats));
+            return autodiff::train_unplanned(graph, feeds, vars, loss, pool);
         };
         mem.begin_run();
         self.values.clear();
@@ -1005,5 +988,60 @@ impl PlannedExecutor {
         });
         mem.end_run(&mut self.values);
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::Graph;
+
+    fn pooled_bytes(exec: &PlannedExecutor) -> usize {
+        let mem = exec.cached.as_ref().and_then(|c| c.mem.as_ref()).expect("planned");
+        mem.arena.free.values().flatten().map(|buf| buf.len() * 4).sum()
+    }
+
+    /// A dense layer plus a loss head: leaf values (feeds, variables,
+    /// constants) and element-wise outputs that the arena never lent.
+    fn dense_model() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", &[0, 16]);
+        let y = g.placeholder("y", &[0, 4]);
+        let w = g.variable("w", Tensor::full(&[16, 4], 0.1));
+        let b = g.constant("b", Tensor::full(&[4], 0.2));
+        let mm = g.matmul(x, w).unwrap();
+        let logits = g.add_bias(mm, b).unwrap();
+        let probs = g.softmax(logits).unwrap();
+        let loss = g.softmax_cross_entropy(logits, y).unwrap();
+        (g, x, y, probs, loss)
+    }
+
+    #[test]
+    fn repeated_runs_do_not_grow_the_arena_pool() {
+        let (g, x, y, probs, loss) = dense_model();
+        let vars = g.variable_inits();
+        let feeds: HashMap<_, _> = [
+            (x, Tensor::full(&[8, 16], 0.5)),
+            (y, Tensor::full(&[8, 4], 0.25)),
+        ]
+        .into_iter()
+        .collect();
+        let pool = WorkerPool::serial();
+
+        let mut infer = PlannedExecutor::new();
+        infer.run(&g, &feeds, &vars, &[probs], &pool).unwrap();
+        let settled = pooled_bytes(&infer);
+        for _ in 0..20 {
+            infer.run(&g, &feeds, &vars, &[probs], &pool).unwrap();
+        }
+        assert_eq!(pooled_bytes(&infer), settled, "inference pool grew");
+
+        let mut train = PlannedExecutor::new();
+        train.train(&g, &feeds, &vars, loss, &pool).unwrap();
+        let settled = pooled_bytes(&train);
+        for _ in 0..20 {
+            train.train(&g, &feeds, &vars, loss, &pool).unwrap();
+        }
+        assert_eq!(pooled_bytes(&train), settled, "training pool grew");
     }
 }

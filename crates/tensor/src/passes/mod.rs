@@ -16,8 +16,10 @@
 //!
 //! **Bit-identity is the contract.** Every pipeline output must evaluate
 //! bit-for-bit identically to the input graph — forward values,
-//! gradients, and whole training trajectories — for every worker count
-//! and [`crate::memory::MemoryMode`]. The per-pass arguments:
+//! gradients, and whole training trajectories — for every worker count,
+//! planned or not (the oracle is [`crate::autodiff::run_unplanned`] /
+//! [`crate::autodiff::train_unplanned`] on the input graph). The
+//! per-pass arguments:
 //!
 //! * DCE only removes nodes the executor's own needed-set walk would
 //!   never run, so results *and* run statistics are untouched.

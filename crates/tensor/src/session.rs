@@ -1,9 +1,9 @@
 //! Sessions: stateful graph execution (TensorFlow's `tf.Session`).
 
-use crate::autodiff::{backward_with, forward_with, RunStats};
+use crate::autodiff::RunStats;
 use crate::graph::{Graph, NodeId, Op, Padding};
 use crate::kernels::WorkerPool;
-use crate::memory::{MemoryMode, MemoryStats, PlannedExecutor, SlotWrite};
+use crate::memory::{MemoryStats, PlannedExecutor, SlotWrite};
 use crate::optimizer::Optimizer;
 use crate::passes::{Pipeline, PipelineReport};
 use crate::tensor::Tensor;
@@ -97,15 +97,15 @@ fn compile_key(graph: &Graph, roots: &[NodeId], train: bool) -> u64 {
     hash
 }
 
-/// Owns variable state and runs graphs.
+/// Owns variable state and runs graphs: every run compiles the graph
+/// with the pass pipeline (cached per graph and fetch set) and executes
+/// the result through one [`PlannedExecutor`].
 #[derive(Debug, Clone)]
 pub struct Session {
     vars: HashMap<NodeId, Tensor>,
     stats: RunStats,
     pool: WorkerPool,
-    mode: MemoryMode,
     planner: PlannedExecutor,
-    optimize: bool,
     compiled: HashMap<u64, CompiledGraph>,
     last_key: Option<u64>,
     fresh_reports: Vec<PipelineReport>,
@@ -114,37 +114,15 @@ pub struct Session {
 impl Session {
     /// Creates a session with variables at their initial values.
     pub fn new(graph: &Graph) -> Self {
-        let vars = graph
-            .variables()
-            .into_iter()
-            .filter_map(|id| match &graph.nodes()[id.0].op {
-                Op::Variable { init } => Some((id, init.clone())),
-                _ => None,
-            })
-            .collect();
         Session {
-            vars,
+            vars: graph.variable_inits(),
             stats: RunStats::default(),
             pool: WorkerPool::serial(),
-            mode: MemoryMode::default(),
             planner: PlannedExecutor::new(),
-            optimize: true,
             compiled: HashMap::new(),
             last_key: None,
             fresh_reports: Vec::new(),
         }
-    }
-
-    /// Enables or disables the graph-compiler pass pipeline. Optimized
-    /// execution is bit-identical to unoptimized — this switch exists
-    /// for A/B verification and cost benchmarking.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
-    /// Whether the pass pipeline is applied before execution.
-    pub fn optimize_enabled(&self) -> bool {
-        self.optimize
     }
 
     /// The pipeline report of the most recently used compiled graph,
@@ -243,25 +221,14 @@ impl Session {
         self.pool
     }
 
-    /// Selects planned-arena or legacy per-node-`Vec` execution. Results
-    /// are bit-identical either way; only allocation behaviour (and the
-    /// EPC traffic the TEE layer derives from it) changes.
-    pub fn set_memory_mode(&mut self, mode: MemoryMode) {
-        self.mode = mode;
-    }
-
-    /// The session's current memory mode.
-    pub fn memory_mode(&self) -> MemoryMode {
-        self.mode
-    }
-
     /// Arena size required by the current execution plan, if the last
     /// run was planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
         self.planner.planned_peak_bytes()
     }
 
-    /// Memory-planner statistics (zeros when running unplanned).
+    /// Memory-planner statistics (zeros when the last graph could not be
+    /// planned).
     pub fn memory_stats(&self) -> MemoryStats {
         self.planner.memory_stats()
     }
@@ -276,7 +243,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::autodiff::forward`] errors.
+    /// Propagates pass-pipeline and [`PlannedExecutor::run`] errors.
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -286,68 +253,38 @@ impl Session {
         for &fetch in fetches {
             graph.node(fetch)?;
         }
-        if self.optimize {
-            let key = self.ensure_compiled(graph, fetches, false)?;
-            let compiled = self.compiled.get(&key).expect("just compiled");
-            let feed_map: HashMap<NodeId, Tensor> = feeds
-                .iter()
-                .filter_map(|(id, t)| {
-                    compiled
-                        .remap
-                        .get(id.index())
-                        .copied()
-                        .flatten()
-                        .map(|new_id| (new_id, t.clone()))
-                })
-                .collect();
-            let new_fetches: Vec<NodeId> = fetches
-                .iter()
-                .map(|&f| {
-                    compiled
-                        .remap
-                        .get(f.index())
-                        .copied()
-                        .flatten()
-                        .ok_or(TensorError::UnknownNode)
-                })
-                .collect::<Result<_, _>>()?;
-            let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
-            let result = if self.mode == MemoryMode::Planned {
-                self.planner
-                    .run(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool)
-            } else {
-                forward_with(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool)
-                    .and_then(|fwd| {
-                        let outs = new_fetches
-                            .iter()
-                            .map(|&id| fwd.value(id).cloned().ok_or(TensorError::UnknownNode))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        Ok((outs, fwd.stats))
-                    })
-            };
-            Self::restore_vars(&mut self.vars, &mut tvars, &back);
-            let (outs, stats) = result?;
-            self.stats.merge(stats);
-            return Ok(outs);
-        }
-        let feed_map: HashMap<NodeId, Tensor> = feeds.iter().cloned().collect();
-        if self.mode == MemoryMode::Planned {
-            let (outs, stats) =
-                self.planner
-                    .run(graph, &feed_map, &self.vars, fetches, &self.pool)?;
-            self.stats.merge(stats);
-            return Ok(outs);
-        }
-        let fwd = forward_with(graph, &feed_map, &self.vars, fetches, &self.pool)?;
-        self.stats.merge(fwd.stats);
-        fetches
+        let key = self.ensure_compiled(graph, fetches, false)?;
+        let compiled = self.compiled.get(&key).expect("just compiled");
+        let feed_map: HashMap<NodeId, Tensor> = feeds
             .iter()
-            .map(|&id| {
-                fwd.value(id)
-                    .cloned()
+            .filter_map(|(id, t)| {
+                compiled
+                    .remap
+                    .get(id.index())
+                    .copied()
+                    .flatten()
+                    .map(|new_id| (new_id, t.clone()))
+            })
+            .collect();
+        let new_fetches: Vec<NodeId> = fetches
+            .iter()
+            .map(|&f| {
+                compiled
+                    .remap
+                    .get(f.index())
+                    .copied()
+                    .flatten()
                     .ok_or(TensorError::UnknownNode)
             })
-            .collect()
+            .collect::<Result<_, _>>()?;
+        let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
+        let result = self
+            .planner
+            .run(&compiled.graph, &feed_map, &tvars, &new_fetches, &self.pool);
+        Self::restore_vars(&mut self.vars, &mut tvars, &back);
+        let (outs, stats) = result?;
+        self.stats.merge(stats);
+        Ok(outs)
     }
 
     /// Runs one training step: forward, backward, optimizer update.
@@ -383,8 +320,8 @@ impl Session {
         Ok(loss_value)
     }
 
-    /// Forward + backward via the mode-selected executor. Returns the
-    /// loss value, the gradient of every variable, and the forward stats.
+    /// Forward + backward of the compiled graph. Returns the loss value,
+    /// the gradient of every variable, and the forward stats.
     fn forward_backward(
         &mut self,
         graph: &Graph,
@@ -392,83 +329,38 @@ impl Session {
         loss: NodeId,
     ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
         graph.node(loss)?;
-        if self.optimize {
-            let key = self.ensure_compiled(graph, &[loss], true)?;
-            let compiled = self.compiled.get(&key).expect("just compiled");
-            let new_loss = compiled
-                .remap
-                .get(loss.index())
-                .copied()
-                .flatten()
-                .ok_or(TensorError::UnknownNode)?;
-            let new_feeds: HashMap<NodeId, Tensor> = feed_map
-                .iter()
-                .filter_map(|(id, t)| {
-                    compiled
-                        .remap
-                        .get(id.index())
-                        .copied()
-                        .flatten()
-                        .map(|new_id| (new_id, t.clone()))
-                })
-                .collect();
-            let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
-            let result = Self::executor_forward_backward(
-                &mut self.planner,
-                self.mode,
-                &compiled.graph,
-                &new_feeds,
-                &tvars,
-                new_loss,
-                &self.pool,
-            );
-            Self::restore_vars(&mut self.vars, &mut tvars, &back);
-            let (loss_value, mut grads, stats) = result?;
-            // Gradients come back in the optimized id space; translate
-            // to the caller's original variable ids.
-            let var_grads = back
-                .iter()
-                .filter_map(|&(new_id, old)| grads.remove(&new_id).map(|g| (old, g)))
-                .collect();
-            return Ok((loss_value, var_grads, stats));
-        }
-        Self::executor_forward_backward(
-            &mut self.planner,
-            self.mode,
-            graph,
-            feed_map,
-            &self.vars,
-            loss,
-            &self.pool,
-        )
-    }
-
-    /// Forward + backward on an already-translated graph, via the
-    /// mode-selected executor.
-    fn executor_forward_backward(
-        planner: &mut PlannedExecutor,
-        mode: MemoryMode,
-        graph: &Graph,
-        feed_map: &HashMap<NodeId, Tensor>,
-        vars: &HashMap<NodeId, Tensor>,
-        loss: NodeId,
-        pool: &WorkerPool,
-    ) -> Result<(f32, HashMap<NodeId, Tensor>, RunStats), TensorError> {
-        if mode == MemoryMode::Planned {
-            return planner.train(graph, feed_map, vars, loss, pool);
-        }
-        let fwd = forward_with(graph, feed_map, vars, &[loss], pool)?;
-        let loss_value = fwd
-            .value(loss)
-            .ok_or(TensorError::UnknownNode)?
-            .data()[0];
-        let grads = backward_with(graph, &fwd, loss, pool)?;
-        let var_grads = graph
-            .variables()
-            .into_iter()
-            .filter_map(|v| grads.get(&v).map(|g| (v, g.clone())))
+        let key = self.ensure_compiled(graph, &[loss], true)?;
+        let compiled = self.compiled.get(&key).expect("just compiled");
+        let new_loss = compiled
+            .remap
+            .get(loss.index())
+            .copied()
+            .flatten()
+            .ok_or(TensorError::UnknownNode)?;
+        let new_feeds: HashMap<NodeId, Tensor> = feed_map
+            .iter()
+            .filter_map(|(id, t)| {
+                compiled
+                    .remap
+                    .get(id.index())
+                    .copied()
+                    .flatten()
+                    .map(|new_id| (new_id, t.clone()))
+            })
             .collect();
-        Ok((loss_value, var_grads, fwd.stats))
+        let (mut tvars, back) = Self::translate_vars(&mut self.vars, graph, &compiled.remap);
+        let result = self
+            .planner
+            .train(&compiled.graph, &new_feeds, &tvars, new_loss, &self.pool);
+        Self::restore_vars(&mut self.vars, &mut tvars, &back);
+        let (loss_value, mut grads, stats) = result?;
+        // Gradients come back in the optimized id space; translate to the
+        // caller's original variable ids.
+        let var_grads = back
+            .iter()
+            .filter_map(|&(new_id, old)| grads.remove(&new_id).map(|g| (old, g)))
+            .collect();
+        Ok((loss_value, var_grads, stats))
     }
 
     /// Computes gradients without applying them (used by the

@@ -3,9 +3,9 @@
 use crate::model::LiteModel;
 use crate::optimize::optimize_for_inference;
 use crate::LiteError;
-use securetf_tensor::autodiff::{forward_with, RunStats};
+use securetf_tensor::autodiff::RunStats;
 use securetf_tensor::kernels::WorkerPool;
-use securetf_tensor::memory::{MemoryMode, MemoryStats, PlannedExecutor};
+use securetf_tensor::memory::{MemoryStats, PlannedExecutor};
 use securetf_tensor::passes::PipelineReport;
 use securetf_tensor::tensor::Tensor;
 use std::collections::HashMap;
@@ -20,7 +20,6 @@ pub struct Interpreter {
     stats: RunStats,
     runs: u64,
     pool: WorkerPool,
-    mode: MemoryMode,
     planner: PlannedExecutor,
 }
 
@@ -35,8 +34,9 @@ impl Interpreter {
     ///
     /// The model is lowered through the shared inference pipeline
     /// (DCE → CSE → fold → fuse) once, at construction; every run then
-    /// executes the optimized graph. Outputs are bit-identical to the
-    /// unoptimized model ([`Interpreter::unoptimized`] for A/B checks).
+    /// executes the optimized graph through a [`PlannedExecutor`].
+    /// Outputs are bit-identical to
+    /// [`securetf_tensor::autodiff::run_unplanned`] on the model as given.
     pub fn with_pool(model: LiteModel, pool: WorkerPool) -> Self {
         let (model, report) = match optimize_for_inference(&model) {
             Ok((optimized, report)) => (optimized, Some(report)),
@@ -49,28 +49,12 @@ impl Interpreter {
             stats: RunStats::default(),
             runs: 0,
             pool,
-            mode: MemoryMode::default(),
-            planner: PlannedExecutor::new(),
-        }
-    }
-
-    /// Creates an interpreter that executes `model` exactly as given —
-    /// no compiler passes. Exists for bit-identity verification and
-    /// optimized-vs-baseline cost benchmarking.
-    pub fn unoptimized(model: LiteModel) -> Self {
-        Interpreter {
-            model,
-            report: None,
-            stats: RunStats::default(),
-            runs: 0,
-            pool: WorkerPool::serial(),
-            mode: MemoryMode::default(),
             planner: PlannedExecutor::new(),
         }
     }
 
     /// The pass-pipeline report of the construction-time lowering
-    /// (`None` for [`Interpreter::unoptimized`] or rejected graphs).
+    /// (`None` if the pipeline rejected the graph).
     pub fn pipeline_report(&self) -> Option<&PipelineReport> {
         self.report.as_ref()
     }
@@ -80,19 +64,14 @@ impl Interpreter {
         self.pool = pool;
     }
 
-    /// Selects planned-arena (the default) or legacy per-node-`Vec`
-    /// execution. Outputs are bit-identical either way.
-    pub fn set_memory_mode(&mut self, mode: MemoryMode) {
-        self.mode = mode;
-    }
-
     /// Arena size required by the current execution plan, if the last
     /// run was planned.
     pub fn planned_peak_bytes(&self) -> Option<u64> {
         self.planner.planned_peak_bytes()
     }
 
-    /// Memory-planner statistics (zeros when running unplanned).
+    /// Memory-planner statistics (zeros when the graph could not be
+    /// planned).
     pub fn memory_stats(&self) -> MemoryStats {
         self.planner.memory_stats()
     }
@@ -111,33 +90,16 @@ impl Interpreter {
     pub fn run(&mut self, input: &Tensor) -> Result<Tensor, LiteError> {
         let mut feeds = HashMap::new();
         feeds.insert(self.model.input(), input.clone());
-        let vars = HashMap::new();
-        let (out, mut stats) = if self.mode == MemoryMode::Planned {
-            let (mut outs, stats) = self.planner.run(
-                self.model.graph(),
-                &feeds,
-                &vars,
-                &[self.model.output()],
-                &self.pool,
-            )?;
-            let out = outs
-                .pop()
-                .ok_or(LiteError::MalformedModel("output not computed"))?;
-            (out, stats)
-        } else {
-            let fwd = forward_with(
-                self.model.graph(),
-                &feeds,
-                &vars,
-                &[self.model.output()],
-                &self.pool,
-            )?;
-            let out = fwd
-                .value(self.model.output())
-                .cloned()
-                .ok_or(LiteError::MalformedModel("output not computed"))?;
-            (out, fwd.stats)
-        };
+        let (mut outs, mut stats) = self.planner.run(
+            self.model.graph(),
+            &feeds,
+            &HashMap::new(),
+            &[self.model.output()],
+            &self.pool,
+        )?;
+        let out = outs
+            .pop()
+            .ok_or(LiteError::MalformedModel("output not computed"))?;
         if self.model.declared_flops() > 0.0 {
             // Synthetic stand-ins execute a reduced spatial extent; charge
             // the original model's declared compute instead.

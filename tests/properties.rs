@@ -8,7 +8,7 @@ use securetf_shield::fs::{FsShield, PathPolicy, Policy, UntrustedStore};
 use securetf_tee::sealing::SealPolicy;
 use securetf_tee::{EnclaveImage, ExecutionMode, Platform};
 use securetf_tensor::freeze;
-use securetf_tensor::graph::Graph;
+use securetf_tensor::graph::{Graph, NodeId};
 use securetf_tensor::tensor::Tensor;
 use std::sync::Arc;
 
@@ -420,14 +420,61 @@ fn one_hot_labels(batch: usize, classes: usize, seed: u64) -> Tensor {
     Tensor::from_vec(&[batch, classes], data).unwrap()
 }
 
+/// What the oracle reports: the loss bits of every step, the variable
+/// gradients of the first step (sorted by id), and the logits after the
+/// last step.
+type OracleTrace = (Vec<u32>, Vec<(usize, Vec<u32>)>, Vec<u32>);
+
+/// The bit-identity oracle for training: `steps` SGD steps with
+/// `autodiff::train_unplanned` on the graph exactly as built (no passes,
+/// no plan, serial kernels), then `logits` for the fed `input` with
+/// `autodiff::run_unplanned`.
+fn oracle_training(
+    graph: &Graph,
+    feeds: &[(NodeId, Tensor)],
+    loss: NodeId,
+    (input, logits): (NodeId, NodeId),
+    lr: f32,
+    steps: usize,
+) -> OracleTrace {
+    use securetf_tensor::autodiff::{run_unplanned, train_unplanned};
+    use securetf_tensor::kernels::WorkerPool;
+    use securetf_tensor::optimizer::{Optimizer, Sgd};
+    use std::collections::HashMap;
+
+    let serial = WorkerPool::serial();
+    let mut vars = graph.variable_inits();
+    let feeds: HashMap<_, _> = feeds.iter().cloned().collect();
+    let mut sgd = Sgd::new(lr);
+    let mut losses = Vec::new();
+    let mut first_grads = None;
+    for _ in 0..steps {
+        let (value, grads, _) = train_unplanned(graph, &feeds, &vars, loss, &serial).unwrap();
+        losses.push(value.to_bits());
+        for var in graph.variables() {
+            if let Some(grad) = grads.get(&var) {
+                sgd.apply(var, vars.get_mut(&var).unwrap(), grad).unwrap();
+            }
+        }
+        first_grads.get_or_insert_with(|| {
+            let mut sorted: Vec<_> = grads.iter().map(|(id, g)| (id.index(), bits(g))).collect();
+            sorted.sort_by_key(|(id, _)| *id);
+            sorted
+        });
+    }
+    let infer_feeds: HashMap<_, _> = [(input, feeds[&input].clone())].into_iter().collect();
+    let (outs, _) = run_unplanned(graph, &infer_feeds, &vars, &[logits], &serial).unwrap();
+    (losses, first_grads.unwrap_or_default(), bits(&outs[0]))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // The unified memory planner (DESIGN.md §12): liveness-derived slots
     // must never alias while both are live, the runtime must never hold
     // more bytes than the planned peak, and planned execution must be
-    // bit-for-bit identical to the legacy per-node-Vec executor for any
-    // shape, batch size, and worker count.
+    // bit-for-bit identical to the unplanned oracle on the uncompiled
+    // graph for any shape, batch size, and worker count.
 
     #[test]
     fn training_plan_never_aliases_overlapping_lifetimes(
@@ -496,45 +543,42 @@ proptest! {
     ) {
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, inputs], lcg_fill(seed, batch * inputs)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let run = |mode: MemoryMode, workers: usize| {
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-            let model = layers::mlp_classifier(inputs, &[hidden], classes, &mut rng).unwrap();
-            let mut session = Session::new(&model.graph);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let mut sgd = Sgd::new(0.05);
-            let mut losses = Vec::new();
-            let mut bounds = Vec::new();
-            for _ in 0..steps {
-                let loss = session
-                    .train_step(
-                        &model.graph,
-                        &[(model.input, x.clone()), (model.labels, y.clone())],
-                        model.loss,
-                        &mut sgd,
-                    )
-                    .unwrap();
-                losses.push(loss.to_bits());
-                bounds.push(session.memory_stats());
-            }
-            let out = session
-                .run(&model.graph, &[(model.input, x.clone())], &[model.logits])
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let model = layers::mlp_classifier(inputs, &[hidden], classes, &mut rng).unwrap();
+        let feeds = [(model.input, x.clone()), (model.labels, y)];
+        let mut session = Session::new(&model.graph);
+        if workers > 1 {
+            session.set_worker_pool(WorkerPool::new(workers));
+        }
+        let mut sgd = Sgd::new(0.05);
+        let mut losses = Vec::new();
+        let mut bounds = Vec::new();
+        for _ in 0..steps {
+            let loss = session
+                .train_step(&model.graph, &feeds, model.loss, &mut sgd)
                 .unwrap();
-            (losses, bits(&out[0]), bounds)
-        };
+            losses.push(loss.to_bits());
+            bounds.push(session.memory_stats());
+        }
+        let out = session
+            .run(&model.graph, &[(model.input, x)], &[model.logits])
+            .unwrap();
 
-        let (planned_losses, planned_logits, bounds) = run(MemoryMode::Planned, workers);
-        let (unplanned_losses, unplanned_logits, _) = run(MemoryMode::Unplanned, 1);
-        prop_assert_eq!(planned_losses, unplanned_losses);
-        prop_assert_eq!(planned_logits, unplanned_logits);
+        let (oracle_losses, _, oracle_logits) = oracle_training(
+            &model.graph,
+            &feeds,
+            model.loss,
+            (model.input, model.logits),
+            0.05,
+            steps,
+        );
+        prop_assert_eq!(losses, oracle_losses);
+        prop_assert_eq!(bits(&out[0]), oracle_logits);
         for stats in bounds {
             prop_assert!(stats.planned_peak_bytes > 0);
             prop_assert!(
@@ -556,42 +600,39 @@ proptest! {
     ) {
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, 8, 8, 1], lcg_fill(seed, batch * 64)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let run = |mode: MemoryMode, workers: usize| {
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-            let model = layers::conv_classifier(8, 8, 1, filters, classes, &mut rng).unwrap();
-            let mut session = Session::new(&model.graph);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let mut sgd = Sgd::new(0.05);
-            let mut losses = Vec::new();
-            for _ in 0..2 {
-                let loss = session
-                    .train_step(
-                        &model.graph,
-                        &[(model.input, x.clone()), (model.labels, y.clone())],
-                        model.loss,
-                        &mut sgd,
-                    )
-                    .unwrap();
-                losses.push(loss.to_bits());
-            }
-            let out = session
-                .run(&model.graph, &[(model.input, x.clone())], &[model.logits])
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let model = layers::conv_classifier(8, 8, 1, filters, classes, &mut rng).unwrap();
+        let feeds = [(model.input, x.clone()), (model.labels, y)];
+        let mut session = Session::new(&model.graph);
+        if workers > 1 {
+            session.set_worker_pool(WorkerPool::new(workers));
+        }
+        let mut sgd = Sgd::new(0.05);
+        let mut losses = Vec::new();
+        for _ in 0..2 {
+            let loss = session
+                .train_step(&model.graph, &feeds, model.loss, &mut sgd)
                 .unwrap();
-            (losses, bits(&out[0]))
-        };
+            losses.push(loss.to_bits());
+        }
+        let out = session
+            .run(&model.graph, &[(model.input, x)], &[model.logits])
+            .unwrap();
 
-        let planned = run(MemoryMode::Planned, workers);
-        let unplanned = run(MemoryMode::Unplanned, 1);
-        prop_assert_eq!(planned, unplanned);
+        let (oracle_losses, _, oracle_logits) = oracle_training(
+            &model.graph,
+            &feeds,
+            model.loss,
+            (model.input, model.logits),
+            0.05,
+            2,
+        );
+        prop_assert_eq!((losses, bits(&out[0])), (oracle_losses, oracle_logits));
     }
 }
 
@@ -601,9 +642,9 @@ proptest! {
     // The graph-compiler pass pipeline (DESIGN.md §16): optimizing a
     // graph (DCE, constant folding, fusion — plus CSE for inference)
     // must be invisible in the numbers. For any model shape, batch
-    // size, worker count, and memory mode, the optimized execution is
-    // bit-for-bit identical to the unoptimized one: same outputs, same
-    // gradients, same loss trajectory.
+    // size and worker count, compiled planned execution is bit-for-bit
+    // identical to the unplanned oracle on the unoptimized graph: same
+    // outputs, same gradients, same loss trajectory.
 
     #[test]
     fn compiled_mlp_training_is_bit_identical_to_unoptimized(
@@ -612,53 +653,58 @@ proptest! {
         classes in 2usize..5,
         batch in 1usize..5,
         workers in 1usize..6,
-        planned in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tensor::layers;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         let x = Tensor::from_vec(&[batch, inputs], lcg_fill(seed, batch * inputs)).unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let mode = if planned { MemoryMode::Planned } else { MemoryMode::Unplanned };
-        let run = |optimize: bool| {
-            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-            let model = layers::mlp_classifier(inputs, &widths, classes, &mut rng).unwrap();
-            let mut session = Session::new(&model.graph);
-            session.set_optimize(optimize);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let feeds = [(model.input, x.clone()), (model.labels, y.clone())];
-            let (first_loss, grads) = session
-                .gradients(&model.graph, &feeds, model.loss)
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let model = layers::mlp_classifier(inputs, &widths, classes, &mut rng).unwrap();
+        let mut session = Session::new(&model.graph);
+        if workers > 1 {
+            session.set_worker_pool(WorkerPool::new(workers));
+        }
+        let feeds = [(model.input, x.clone()), (model.labels, y)];
+        let (first_loss, grads) = session
+            .gradients(&model.graph, &feeds, model.loss)
+            .unwrap();
+        let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
+            .iter()
+            .map(|(id, g)| (id.index(), bits(g)))
+            .collect();
+        grad_bits.sort_by_key(|(id, _)| *id);
+        let mut sgd = Sgd::new(0.05);
+        let mut losses = vec![first_loss.to_bits()];
+        for _ in 0..3 {
+            let loss = session
+                .train_step(&model.graph, &feeds, model.loss, &mut sgd)
                 .unwrap();
-            let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
-                .iter()
-                .map(|(id, g)| (id.index(), bits(g)))
-                .collect();
-            grad_bits.sort_by_key(|(id, _)| *id);
-            let mut sgd = Sgd::new(0.05);
-            let mut losses = vec![first_loss.to_bits()];
-            for _ in 0..3 {
-                let loss = session
-                    .train_step(&model.graph, &feeds, model.loss, &mut sgd)
-                    .unwrap();
-                losses.push(loss.to_bits());
-            }
-            let out = session
-                .run(&model.graph, &[(model.input, x.clone())], &[model.logits])
-                .unwrap();
-            (losses, grad_bits, bits(&out[0]))
-        };
+            losses.push(loss.to_bits());
+        }
+        let out = session
+            .run(&model.graph, &[(model.input, x)], &[model.logits])
+            .unwrap();
 
-        let optimized = run(true);
-        let baseline = run(false);
-        prop_assert_eq!(optimized, baseline);
+        // `gradients` applies no update, so the oracle's first loss
+        // appears twice in the compiled trajectory.
+        let (oracle_losses, oracle_grads, oracle_logits) = oracle_training(
+            &model.graph,
+            &feeds,
+            model.loss,
+            (model.input, model.logits),
+            0.05,
+            3,
+        );
+        let expected_losses: Vec<u32> =
+            oracle_losses[..1].iter().chain(&oracle_losses).copied().collect();
+        prop_assert_eq!(
+            (losses, grad_bits, bits(&out[0])),
+            (expected_losses, oracle_grads, oracle_logits)
+        );
     }
 
     #[test]
@@ -670,19 +716,17 @@ proptest! {
         classes in 2usize..5,
         batch in 1usize..4,
         workers in 1usize..6,
-        planned in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use securetf_tensor::graph::{Graph, Padding};
         use securetf_tensor::kernels::WorkerPool;
-        use securetf_tensor::memory::MemoryMode;
         use securetf_tensor::optimizer::Sgd;
         use securetf_tensor::session::Session;
 
         // A conv → bias → relu head the fusion pass rewrites into
         // FusedConv2d, followed by a dense layer it rewrites into
-        // FusedMatMul; the unoptimized session runs the original ops.
-        let build = || {
+        // FusedMatMul; the oracle runs the original ops.
+        let (g, input, labels, logits, loss) = {
             let mut g = Graph::new();
             let input = g.placeholder("input", &[0, h, w, cin]);
             let labels = g.placeholder("labels", &[0, classes]);
@@ -717,35 +761,33 @@ proptest! {
         let x = Tensor::from_vec(&[batch, h, w, cin], lcg_fill(seed, batch * h * w * cin))
             .unwrap();
         let y = one_hot_labels(batch, classes, seed);
-        let mode = if planned { MemoryMode::Planned } else { MemoryMode::Unplanned };
-        let run = |optimize: bool| {
-            let (g, input, labels, logits, loss) = build();
-            let mut session = Session::new(&g);
-            session.set_optimize(optimize);
-            session.set_memory_mode(mode);
-            if workers > 1 {
-                session.set_worker_pool(WorkerPool::new(workers));
-            }
-            let feeds = [(input, x.clone()), (labels, y.clone())];
-            let (first_loss, grads) = session.gradients(&g, &feeds, loss).unwrap();
-            let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
-                .iter()
-                .map(|(id, t)| (id.index(), bits(t)))
-                .collect();
-            grad_bits.sort_by_key(|(id, _)| *id);
-            let mut sgd = Sgd::new(0.02);
-            let mut losses = vec![first_loss.to_bits()];
-            for _ in 0..2 {
-                let step = session.train_step(&g, &feeds, loss, &mut sgd).unwrap();
-                losses.push(step.to_bits());
-            }
-            let out = session.run(&g, &[(input, x.clone())], &[logits]).unwrap();
-            (losses, grad_bits, bits(&out[0]))
-        };
+        let mut session = Session::new(&g);
+        if workers > 1 {
+            session.set_worker_pool(WorkerPool::new(workers));
+        }
+        let feeds = [(input, x.clone()), (labels, y)];
+        let (first_loss, grads) = session.gradients(&g, &feeds, loss).unwrap();
+        let mut grad_bits: Vec<(usize, Vec<u32>)> = grads
+            .iter()
+            .map(|(id, t)| (id.index(), bits(t)))
+            .collect();
+        grad_bits.sort_by_key(|(id, _)| *id);
+        let mut sgd = Sgd::new(0.02);
+        let mut losses = vec![first_loss.to_bits()];
+        for _ in 0..2 {
+            let step = session.train_step(&g, &feeds, loss, &mut sgd).unwrap();
+            losses.push(step.to_bits());
+        }
+        let out = session.run(&g, &[(input, x)], &[logits]).unwrap();
 
-        let optimized = run(true);
-        let baseline = run(false);
-        prop_assert_eq!(optimized, baseline);
+        let (oracle_losses, oracle_grads, oracle_logits) =
+            oracle_training(&g, &feeds, loss, (input, logits), 0.02, 2);
+        let expected_losses: Vec<u32> =
+            oracle_losses[..1].iter().chain(&oracle_losses).copied().collect();
+        prop_assert_eq!(
+            (losses, grad_bits, bits(&out[0])),
+            (expected_losses, oracle_grads, oracle_logits)
+        );
     }
 
     #[test]
@@ -757,9 +799,11 @@ proptest! {
         workers in 1usize..6,
         seed in any::<u64>(),
     ) {
+        use securetf_tensor::autodiff::run_unplanned;
         use securetf_tensor::kernels::WorkerPool;
         use securetf_tflite::interpreter::Interpreter;
         use securetf_tflite::model::LiteModel;
+        use std::collections::HashMap;
 
         // A frozen dense classifier: matmul → bias → relu per hidden
         // layer, matmul → bias → softmax head. Every layer is a fusion
@@ -797,9 +841,16 @@ proptest! {
         let lite = LiteModel::convert(&g, "input", &out_name).unwrap();
         let x = Tensor::from_vec(&[rows, inputs], lcg_fill(seed, rows * inputs)).unwrap();
 
-        let mut baseline = Interpreter::unoptimized(lite.clone());
-        let expect = baseline.run(&x).unwrap();
-        prop_assert!(baseline.pipeline_report().is_none());
+        let feeds: HashMap<_, _> = [(lite.input(), x.clone())].into_iter().collect();
+        let (mut expect, _) = run_unplanned(
+            lite.graph(),
+            &feeds,
+            &HashMap::new(),
+            &[lite.output()],
+            &WorkerPool::serial(),
+        )
+        .unwrap();
+        let expect = expect.pop().unwrap();
 
         let mut optimized = Interpreter::with_pool(lite.clone(), WorkerPool::new(workers));
         let got = optimized.run(&x).unwrap();
